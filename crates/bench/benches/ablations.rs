@@ -114,7 +114,7 @@ fn a3_raycast_index(c: &mut Criterion) {
             },
         );
         g.bench_with_input(BenchmarkId::new("kd_tree", pieces), &pieces, |b, &n| {
-            b.iter(|| run_with_engine(Box::new(RayCast::force_kd_tree()), &app, n));
+            b.iter(|| run_with_engine(Box::new(RayCast::force_dynamic_bvh()), &app, n));
         });
     }
     g.finish();

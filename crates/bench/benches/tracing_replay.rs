@@ -87,12 +87,12 @@ fn speedup_report() {
                 engine.label(),
                 mode,
                 ns,
-                rt.replayed_launches(),
+                rt.stats().tracing.replayed_launches,
                 untraced_ns / ns
             );
             if mode != Mode::Untraced {
                 assert!(
-                    rt.replayed_launches() > 0,
+                    rt.stats().tracing.replayed_launches > 0,
                     "{engine:?} {mode:?}: nothing replayed"
                 );
             }
@@ -118,17 +118,17 @@ fn zero_copy_report() {
             }
         }
         let per_iter = shared_tasks.min(2 * PIECES as u64 + 8);
+        let replayed = rt.stats().tracing.replayed_launches;
         println!(
             "# Zero-copy ({mode:?}): {} trace-backed launches share {} allocations \
              ({} replayed)",
             shared_tasks,
             addrs.len(),
-            rt.replayed_launches()
+            replayed
         );
         assert!(
-            rt.replayed_launches() >= 6 * per_iter,
-            "{mode:?}: expected most instances to replay, got {}",
-            rt.replayed_launches()
+            replayed >= 6 * per_iter,
+            "{mode:?}: expected most instances to replay, got {replayed}"
         );
         // Template entries (+ the auto path's analyzed verification
         // instance) are the only distinct allocations; replays add none.

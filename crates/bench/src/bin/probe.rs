@@ -156,13 +156,10 @@ fn main() {
         state.memo_entries
     );
     if auto_trace {
+        let t = rt.stats().tracing;
         println!(
             "auto-trace: detected={} demoted={} replayed_launches={} violations={} rebase_ranges={}",
-            rt.auto_traces_detected(),
-            rt.auto_traces_demoted(),
-            rt.replayed_launches(),
-            rt.trace_violations().len(),
-            rt.trace_rebase_ranges()
+            t.auto_promotions, t.auto_demotions, t.replayed_launches, t.violations, t.rebase_ranges
         );
     }
     if let Some(m) = rt.pipeline_metrics() {

@@ -361,11 +361,12 @@ fn steady_state_run(
     half.sort_unstable();
     let per_iter_s = half[half.len() / 2] as f64 * 1e-9;
     let tput = run.elements_per_iter as f64 / per_iter_s / nodes as f64;
+    let t = rt.stats().tracing;
     (
         tput,
-        rt.replayed_launches(),
-        rt.auto_traces_detected(),
-        rt.auto_traces_demoted(),
+        t.replayed_launches,
+        t.auto_promotions,
+        t.auto_demotions,
     )
 }
 

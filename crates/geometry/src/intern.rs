@@ -24,9 +24,7 @@
 //! the direct sweep would produce — not merely the same point set. Each fast
 //! path below documents why it is faithful; the property tests in
 //! `tests/prop_interned_algebra.rs` check this over random rect sets, and
-//! the engine differential tests check it end to end. With
-//! [`InternConfig::enabled`] off, every operation takes the direct sweep, so
-//! the two modes must (and do) agree byte for byte.
+//! the engine differential tests check it end to end.
 
 use crate::hash::{FxHashMap, FxHasher};
 use crate::index_space::IndexSpace;
@@ -48,19 +46,12 @@ impl SpaceId {
     }
 }
 
-/// Configuration for the interning/memoization layer.
-///
-/// | env var | default | meaning |
-/// |---|---|---|
-/// | `VIZ_INTERN` | `1` | `0`/`false`/`off` disables fast paths + cache (direct sweeps) |
-/// | `VIZ_ALGEBRA_CACHE_CAP` | `4096` | per-shard algebra-cache capacity (entries) |
+/// Configuration for the interning/memoization layer. The runtime reads
+/// `VIZ_ALGEBRA_CACHE_CAP` into it (`viz_runtime::config`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct InternConfig {
-    /// When false, every operation runs the direct rectangle sweep:
-    /// interning still provides shared storage, but no fast path and no
-    /// cached result is ever used.
-    pub enabled: bool,
-    /// Algebra-cache capacity in entries (0 disables caching only).
+    /// Algebra-cache capacity in entries (0 disables caching; the
+    /// structural fast paths stay on).
     pub cache_cap: usize,
 }
 
@@ -69,36 +60,7 @@ pub const DEFAULT_ALGEBRA_CACHE_CAP: usize = 4096;
 impl Default for InternConfig {
     fn default() -> Self {
         InternConfig {
-            enabled: true,
             cache_cap: DEFAULT_ALGEBRA_CACHE_CAP,
-        }
-    }
-}
-
-impl InternConfig {
-    /// Read `VIZ_INTERN` / `VIZ_ALGEBRA_CACHE_CAP` from the environment.
-    #[deprecated(
-        since = "0.9.0",
-        note = "env parsing moved behind the runtime's config front door: \
-                use viz_runtime::config::env_intern(), or pin the config \
-                explicitly with RuntimeConfig::intern"
-    )]
-    pub fn from_env() -> Self {
-        let enabled = match std::env::var("VIZ_INTERN") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-            Err(_) => true,
-        };
-        let cache_cap = std::env::var("VIZ_ALGEBRA_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_ALGEBRA_CACHE_CAP);
-        InternConfig { enabled, cache_cap }
-    }
-
-    pub fn disabled() -> Self {
-        InternConfig {
-            enabled: false,
-            ..Self::default()
         }
     }
 }
@@ -326,7 +288,6 @@ impl AlgebraCache {
 pub struct SpaceAlgebra {
     interner: SpaceInterner,
     cache: AlgebraCache,
-    enabled: bool,
     fast_hits: u64,
 }
 
@@ -340,14 +301,9 @@ impl SpaceAlgebra {
     pub fn new(config: InternConfig) -> Self {
         SpaceAlgebra {
             interner: SpaceInterner::new(),
-            cache: AlgebraCache::new(if config.enabled { config.cache_cap } else { 0 }),
-            enabled: config.enabled,
+            cache: AlgebraCache::new(config.cache_cap),
             fast_hits: 0,
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Intern a space (see [`SpaceInterner::intern`]).
@@ -401,10 +357,6 @@ impl SpaceAlgebra {
 
     /// `lhs ∩ rhs` (the paper's `X/Y`).
     pub fn intersect(&mut self, a: SpaceId, b: SpaceId) -> SpaceId {
-        if !self.enabled {
-            let r = self.interner.get(a).intersect(self.interner.get(b));
-            return self.interner.intern_owned(r);
-        }
         // Fast paths. Each returns exactly what the direct sweep returns:
         // * a ∩ a: pairwise intersections of a disjoint family with itself
         //   are the family itself; normalization of a normalized list is the
@@ -454,10 +406,6 @@ impl SpaceAlgebra {
 
     /// `lhs \ rhs` (the paper's `X\Y`).
     pub fn subtract(&mut self, a: SpaceId, b: SpaceId) -> SpaceId {
-        if !self.enabled {
-            let r = self.interner.get(a).subtract(self.interner.get(b));
-            return self.interner.intern_owned(r);
-        }
         // Fast paths, each matching the sweep structurally:
         // * a \ a = ∅; empty minuend = ∅; empty/bbox-disjoint subtrahend
         //   returns a clone of a (≡ a's own interned storage).
@@ -495,10 +443,6 @@ impl SpaceAlgebra {
     /// union's decomposition depends on argument order, so everything else
     /// goes through the cache keyed on the exact (lhs, rhs) pair.
     pub fn union(&mut self, a: SpaceId, b: SpaceId) -> SpaceId {
-        if !self.enabled {
-            let r = self.interner.get(a).union(self.interner.get(b));
-            return self.interner.intern_owned(r);
-        }
         if self.is_empty_space(a) {
             self.fast_hits += 1;
             return b;
@@ -519,9 +463,6 @@ impl SpaceAlgebra {
 
     /// `lhs ∩ rhs ≠ ∅` — the hottest predicate in the analysis.
     pub fn overlaps(&mut self, a: SpaceId, b: SpaceId) -> bool {
-        if !self.enabled {
-            return self.interner.get(a).overlaps(self.interner.get(b));
-        }
         if self.is_empty_space(a) || self.is_empty_space(b) {
             self.fast_hits += 1;
             return false;
@@ -561,9 +502,6 @@ impl SpaceAlgebra {
 
     /// Does `lhs` contain every point of `rhs`?
     pub fn contains(&mut self, a: SpaceId, b: SpaceId) -> bool {
-        if !self.enabled {
-            return self.interner.get(a).contains(self.interner.get(b));
-        }
         if self.is_empty_space(b) {
             self.fast_hits += 1;
             return true;
@@ -601,47 +539,31 @@ impl SpaceAlgebra {
     }
 
     // Convenience forms for call sites holding plain spaces (the painter
-    // engines): intern on the fly, then go through the id-keyed paths. With
-    // interning disabled these skip the interner entirely.
+    // engines): intern on the fly, then go through the id-keyed paths.
 
     pub fn contains_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> bool {
-        if !self.enabled {
-            return a.contains(b);
-        }
         let (a, b) = (self.intern(a), self.intern(b));
         self.contains(a, b)
     }
 
     pub fn overlaps_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> bool {
-        if !self.enabled {
-            return a.overlaps(b);
-        }
         let (a, b) = (self.intern(a), self.intern(b));
         self.overlaps(a, b)
     }
 
     pub fn intersect_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> IndexSpace {
-        if !self.enabled {
-            return a.intersect(b);
-        }
         let (a, b) = (self.intern(a), self.intern(b));
         let r = self.intersect(a, b);
         self.space(r).clone()
     }
 
     pub fn subtract_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> IndexSpace {
-        if !self.enabled {
-            return a.subtract(b);
-        }
         let (a, b) = (self.intern(a), self.intern(b));
         let r = self.subtract(a, b);
         self.space(r).clone()
     }
 
     pub fn union_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> IndexSpace {
-        if !self.enabled {
-            return a.union(b);
-        }
         let (a, b) = (self.intern(a), self.intern(b));
         let r = self.union(a, b);
         self.space(r).clone()
@@ -703,26 +625,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_mode_matches_too() {
-        let mut alg = SpaceAlgebra::new(InternConfig::disabled());
-        let a = alg.intern(&sp(0, 20));
-        let b = alg.intern(&sp(10, 30));
-        let i = alg.intersect(a, b);
-        assert_eq!(alg.space(i), &sp(10, 20));
-        let s = alg.subtract(a, b);
-        assert_eq!(alg.space(s), &sp(0, 9));
-        assert!(alg.overlaps(a, b));
-        assert!(!alg.contains(a, b));
-        assert_eq!(alg.stats().hits, 0);
-        assert_eq!(alg.stats().fast_hits, 0);
-    }
-
-    #[test]
     fn cache_eviction_is_bounded() {
-        let mut alg = SpaceAlgebra::new(InternConfig {
-            enabled: true,
-            cache_cap: 8,
-        });
+        let mut alg = SpaceAlgebra::new(InternConfig { cache_cap: 8 });
         // Multi-rect spaces so lookups miss the fast paths and hit the cache.
         let mk = |i: i64| {
             IndexSpace::from_rects([

@@ -18,16 +18,17 @@
 //!   partition children quickly.
 //! * [`DynamicBvh`] — an incrementally maintained BVH (leaf insert/remove
 //!   with ancestor refits, rebuild on degradation) for equivalence-set
-//!   indexes that churn under refinement.
+//!   indexes that churn under refinement. The ray-casting engine indexes
+//!   its sets with one when no disjoint-and-complete partition subtree
+//!   exists (the paper's K-d tree fallback, §7.1).
 //! * [`FlatBvh`] — a flattened structure-of-arrays snapshot of a
 //!   [`DynamicBvh`] (pre-order nodes with skip offsets, SoA bounds) with a
 //!   stackless batched query API for resolving whole shards' candidate
 //!   sets in one SIMD-friendly sweep.
-//! * [`KdTree`] — a dynamic K-d tree used by the ray-casting engine when no
-//!   disjoint-and-complete partition subtree exists (paper §7.1).
 //! * [`intern`] — hash-consed index spaces ([`SpaceId`]/[`SpaceInterner`])
 //!   and the memoized set algebra ([`SpaceAlgebra`]) the engines route
-//!   their hottest domain operations through.
+//!   their hottest domain operations through: structural fast paths, then
+//!   a bounded memo cache, then the rectangle sweep.
 //! * [`hash`] — a fast, non-cryptographic hasher (`FxHashMap`/`FxHashSet`)
 //!   for the hot analysis paths.
 //!
@@ -42,7 +43,6 @@ pub mod flat_bvh;
 pub mod hash;
 pub mod index_space;
 pub mod intern;
-pub mod kdtree;
 pub mod point;
 pub mod rect;
 
@@ -52,6 +52,5 @@ pub use flat_bvh::FlatBvh;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index_space::IndexSpace;
 pub use intern::{AlgebraStats, InternConfig, SpaceAlgebra, SpaceId, SpaceInterner};
-pub use kdtree::KdTree;
 pub use point::Point;
 pub use rect::Rect;

@@ -63,7 +63,7 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::CompositeView { entries } => {
             let _ = write!(out, "{{\"entries\":{entries}}}");
         }
-        EventKind::BvhTraversal { nodes } | EventKind::KdTraversal { nodes } => {
+        EventKind::BvhTraversal { nodes } | EventKind::DynamicBvhTraversal { nodes } => {
             let _ = write!(out, "{{\"nodes\":{nodes}}}");
         }
         EventKind::MsgSend { from, to, bytes } => {

@@ -62,8 +62,9 @@ pub enum EventKind {
     CompositeView { entries: u64 },
     /// A refinement-tree (BVH) traversal touching `nodes` nodes.
     BvhTraversal { nodes: u64 },
-    /// A K-d tree traversal touching `nodes` nodes.
-    KdTraversal { nodes: u64 },
+    /// A traversal of ray casting's fallback dynamic BVH touching `nodes`
+    /// nodes.
+    DynamicBvhTraversal { nodes: u64 },
     /// A message injected by `from` toward `to` (sender-side overhead).
     MsgSend { from: u32, to: u32, bytes: u64 },
     /// A message from `from` served on `to`'s service clock after waiting
@@ -133,7 +134,7 @@ impl EventKind {
             EventKind::EqSetCoalesced { .. } => "eqset_coalesced",
             EventKind::CompositeView { .. } => "composite_view",
             EventKind::BvhTraversal { .. } => "bvh_traversal",
-            EventKind::KdTraversal { .. } => "kd_traversal",
+            EventKind::DynamicBvhTraversal { .. } => "dbvh_traversal",
             EventKind::MsgSend { .. } => "msg_send",
             EventKind::MsgServe { .. } => "msg_serve",
             EventKind::GpuTask { .. } => "gpu_task",
@@ -165,7 +166,7 @@ impl EventKind {
             EventKind::EqSetCoalesced { count } => count,
             EventKind::CompositeView { entries } => entries,
             EventKind::BvhTraversal { nodes } => nodes,
-            EventKind::KdTraversal { nodes } => nodes,
+            EventKind::DynamicBvhTraversal { nodes } => nodes,
             EventKind::MsgSend { bytes, .. } => bytes,
             EventKind::MsgServe { queued_ns, .. } => queued_ns,
             EventKind::GpuTask { .. } => 1,

@@ -106,8 +106,8 @@ pub struct ShardedState<S> {
     sweeps: u32,
 }
 
-/// Sweeps between forced full passes when dirty-only scanning is enabled:
-/// even a shard never locked again is revisited periodically, so
+/// Sweeps between forced full passes of [`ShardedState::sweep_mut`]: even
+/// a shard never locked again is revisited periodically, so
 /// watermark-dependent retirement cannot be deferred indefinitely on idle
 /// shards.
 pub const FULL_SWEEP_PERIOD: u32 = 16;
@@ -161,24 +161,17 @@ impl<S> ShardedState<S> {
         ShardRef { cell }
     }
 
-    /// Iterate shard states mutably. `&mut self` guarantees no worker holds
-    /// a shard — used by the GC sweep on the driver thread between batches.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&ShardKey, &mut S)> {
-        self.shards
-            .iter_mut()
-            .map(|(k, cell)| (k, cell.state.get_mut()))
-    }
-
-    /// Iterate shard states for a GC sweep. With `dirty_only`, only shards
-    /// locked (i.e. scanned, and so possibly mutated) since the previous
-    /// sweep are yielded — plus every shard on each
-    /// [`FULL_SWEEP_PERIOD`]-th call, so sweeps whose reclaimable state
-    /// depends on an advancing watermark still drain idle shards
-    /// eventually. Visited shards' dirty flags are cleared; `&mut self`
-    /// guarantees no worker holds a shard.
-    pub fn sweep_mut(&mut self, dirty_only: bool) -> impl Iterator<Item = (&ShardKey, &mut S)> {
+    /// Iterate shard states for a GC sweep: only shards locked (i.e.
+    /// scanned, and so possibly mutated) since the previous sweep are
+    /// yielded — plus every shard on each [`FULL_SWEEP_PERIOD`]-th call, so
+    /// sweeps whose reclaimable state depends on an advancing watermark
+    /// still drain idle shards eventually. An untouched shard has
+    /// accumulated nothing new for a reachability-based sweep to reclaim.
+    /// Visited shards' dirty flags are cleared; `&mut self` guarantees no
+    /// worker holds a shard.
+    pub fn sweep_mut(&mut self) -> impl Iterator<Item = (&ShardKey, &mut S)> {
         self.sweeps = self.sweeps.wrapping_add(1);
-        let full = !dirty_only || self.sweeps.is_multiple_of(FULL_SWEEP_PERIOD);
+        let full = self.sweeps.is_multiple_of(FULL_SWEEP_PERIOD);
         self.shards.iter_mut().filter_map(move |(k, cell)| {
             let was_dirty = cell.dirty.swap(false, Ordering::Acquire);
             (full || was_dirty).then(move || (k, cell.state.get_mut()))

@@ -363,7 +363,6 @@ impl PaintShard {
 pub struct Painter {
     shards: ShardedState<PaintShard>,
     intern: InternConfig,
-    dirty_only: bool,
 }
 
 impl Painter {
@@ -376,7 +375,6 @@ impl Painter {
         Painter {
             shards: ShardedState::new(),
             intern,
-            dirty_only: true,
         }
     }
 }
@@ -615,7 +613,7 @@ impl CoherenceEngine for Painter {
             }
         }
         let mut sweep = GcSweep::default();
-        for (_, shard) in self.shards.sweep_mut(self.dirty_only) {
+        for (_, shard) in self.shards.sweep_mut() {
             let before_nodes = shard.nodes.len();
             shard.nodes.retain(|_, ns| !ns.is_empty());
             sweep.index_nodes += before_nodes - shard.nodes.len();

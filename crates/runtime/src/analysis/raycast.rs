@@ -13,7 +13,8 @@
 //!    partition child containing it, and constituent-set discovery is a
 //!    region-tree query — purely local, no root traversal. "In rare cases
 //!    when no subtree with disjoint-complete partitions exists, the runtime
-//!    creates a K-d tree" — implemented here over the root's index space.
+//!    creates a K-d tree" — implemented here as an incrementally
+//!    maintained [`DynamicBvh`] over the root's index space.
 //!
 //! The result: fewer live sets than Warnock (writes reset the
 //! decomposition every iteration), no global discovery traffic, and the
@@ -50,7 +51,7 @@ struct RaySet {
     /// launch must be disjoint, commuting ones never occlude).
     replaced_by: Vec<u32>,
     /// Anchor positions whose buckets hold this set (anchored index only;
-    /// stays empty on the K-d path). Removal walks exactly these buckets
+    /// stays empty on the dynamic-BVH path). Removal walks exactly these buckets
     /// instead of sweeping every bucket in the shard — the per-launch cost
     /// of a kill is the set's own anchor count, not the live-set count.
     anchors: Vec<u32>,
@@ -78,7 +79,7 @@ enum SetIndex {
     /// Fallback when no such partition exists (§7.1): an incrementally
     /// maintained BVH — set churn is absorbed by leaf insert/remove with
     /// ancestor refits, rebuilding only on degradation.
-    Kd { tree: DynamicBvh },
+    DynamicBvh { tree: DynamicBvh },
 }
 
 /// Reusable backward-scan buffers, one struct per shard. Every vector here
@@ -124,7 +125,7 @@ struct FieldState {
     /// (the sweep work a launch pays; tracks requirement overlap, not the
     /// live-set count).
     sets_swept: u64,
-    /// Candidate-resolution backend for the K-d path (scalar walk or
+    /// Candidate-resolution backend for the dynamic-BVH path (scalar walk or
     /// flattened batched sweep — see [`crate::analysis::visibility`]).
     vis: Box<dyn VisibilityBackend>,
     scratch: ScanScratch,
@@ -159,14 +160,10 @@ impl FieldState {
 /// The ray-casting engine ("RayCast" / `neweqcr` in the figures).
 pub struct RayCast {
     shards: ShardedState<FieldState>,
-    force_kd: bool,
+    force_dynamic_bvh: bool,
     use_anchor_memo: bool,
     intern: InternConfig,
     vis: VisibilityConfig,
-    /// GC sweeps visit only shards scanned since the previous sweep (see
-    /// [`ShardedState::sweep_mut`]); `set_dirty_tracking(false)` restores
-    /// the full sweep.
-    dirty_only: bool,
 }
 
 impl RayCast {
@@ -186,19 +183,18 @@ impl RayCast {
     pub fn with_config(intern: InternConfig, vis: VisibilityConfig) -> Self {
         RayCast {
             shards: ShardedState::new(),
-            force_kd: false,
+            force_dynamic_bvh: false,
             use_anchor_memo: true,
             intern,
             vis,
-            dirty_only: true,
         }
     }
 
-    /// Always use the K-d tree fallback, even when a disjoint-and-complete
+    /// Always use the dynamic-BVH fallback, even when a disjoint-and-complete
     /// partition exists (ablation A3).
-    pub fn force_kd_tree() -> Self {
+    pub fn force_dynamic_bvh() -> Self {
         RayCast {
-            force_kd: true,
+            force_dynamic_bvh: true,
             ..Self::new()
         }
     }
@@ -216,17 +212,18 @@ impl RayCast {
     /// Choose the BVH for a root: the first disjoint-and-complete partition
     /// (the heuristic "based on which partitions tasks are using" — our
     /// benchmark programs create the primary partition first, which is the
-    /// one their tasks write through), else the K-d tree fallback.
+    /// one their tasks write through), else the dynamic-BVH fallback (the
+    /// paper's K-d tree).
     fn init_state(
         forest: &RegionForest,
         root: RegionId,
-        force_kd: bool,
+        force_dynamic_bvh: bool,
         intern: InternConfig,
         vis: VisibilityConfig,
     ) -> FieldState {
         let mut alg = SpaceAlgebra::new(intern);
         let root_domain = forest.domain(root);
-        let dc = if force_kd {
+        let dc = if force_dynamic_bvh {
             Vec::new()
         } else {
             forest.disjoint_complete_partitions(root)
@@ -292,7 +289,7 @@ impl RayCast {
                         replaced_by: Vec::new(),
                         anchors: Vec::new(),
                     }],
-                    index: SetIndex::Kd { tree },
+                    index: SetIndex::DynamicBvh { tree },
                     anchor_memo: FxHashMap::default(),
                     live: 1,
                     usage: FxHashMap::default(),
@@ -454,11 +451,11 @@ impl CoherenceEngine for RayCast {
     fn prepare(&mut self, launch: &TaskLaunch, ctx: &ShardCtx<'_>) -> Vec<(ShardKey, Vec<u32>)> {
         let groups = group_reqs_by_shard(launch, ctx.forest);
         for (key, _) in &groups {
-            let force_kd = self.force_kd;
+            let force_dynamic_bvh = self.force_dynamic_bvh;
             let intern = self.intern;
             let vis = self.vis;
             self.shards.get_or_insert_with(*key, || {
-                Self::init_state(ctx.forest, key.0, force_kd, intern, vis)
+                Self::init_state(ctx.forest, key.0, force_dynamic_bvh, intern, vis)
             });
         }
         groups
@@ -480,14 +477,14 @@ impl CoherenceEngine for RayCast {
         // Deferred commits: (set ids, entry) per requirement.
         let mut commits: Vec<(Vec<u32>, EqEntry)> = Vec::with_capacity(reqs.len());
 
-        // On the K-d path, collect every requirement's query rects up
+        // On the dynamic-BVH path, collect every requirement's query rects up
         // front so the batched backend can resolve the whole shard's
         // candidate set in one sweep (a requirement later in the batch
         // re-resolves against the current tree when an earlier one
         // refined it — see `analysis::visibility`).
         state.scratch.queries.clear();
         state.scratch.spans.clear();
-        if matches!(state.index, SetIndex::Kd { .. }) {
+        if matches!(state.index, SetIndex::DynamicBvh { .. }) {
             for &ri in reqs {
                 let rects = ctx.forest.domain(launch.reqs[ri as usize].region).rects();
                 let start = state.scratch.queries.len() as u32;
@@ -505,7 +502,7 @@ impl CoherenceEngine for RayCast {
             };
             let target = ctx.forest.domain(req.region).clone();
             let target_id = state.alg.intern(&target);
-            if !self.force_kd {
+            if !self.force_dynamic_bvh {
                 let home = Self::home_partition(ctx.forest, req.region);
                 Self::maybe_shift(state, ctx.forest, home, &mut out.scan_log, origin);
             }
@@ -565,7 +562,7 @@ impl CoherenceEngine for RayCast {
                         nodes: candidates.len() as u64,
                     });
                 }
-                SetIndex::Kd { tree } => {
+                SetIndex::DynamicBvh { tree } => {
                     let hits = &mut state.scratch.hits;
                     hits.clear();
                     state
@@ -580,7 +577,7 @@ impl CoherenceEngine for RayCast {
                         },
                     );
                     candidates.extend(hits.iter().map(|h| *h as u32));
-                    viz_profile::instant(viz_profile::EventKind::KdTraversal {
+                    viz_profile::instant(viz_profile::EventKind::DynamicBvhTraversal {
                         nodes: candidates.len() as u64,
                     });
                 }
@@ -740,7 +737,7 @@ impl CoherenceEngine for RayCast {
                         }
                         out
                     }
-                    SetIndex::Kd { .. } => vec![target_id],
+                    SetIndex::DynamicBvh { .. } => vec![target_id],
                 };
                 // The occluded constituent sets coalesce into the fresh
                 // dominating-write sets.
@@ -813,7 +810,7 @@ impl CoherenceEngine for RayCast {
             });
         }
         state.last_stats = state.alg.stats();
-        if let SetIndex::Kd { tree } = &state.index {
+        if let SetIndex::DynamicBvh { tree } = &state.index {
             let (refits, rebuilds) = (tree.refits(), tree.rebuilds());
             let (dr, db) = (refits - state.last_refits, rebuilds - state.last_rebuilds);
             if dr + db > 0 {
@@ -841,7 +838,7 @@ impl CoherenceEngine for RayCast {
     /// histories) are unreachable garbage.
     fn collect(&mut self, _floor: crate::task::TaskId) -> GcSweep {
         let mut sweep = GcSweep::default();
-        for (_, s) in self.shards.sweep_mut(self.dirty_only) {
+        for (_, s) in self.shards.sweep_mut() {
             if s.live == s.sets.len() {
                 continue;
             }
@@ -871,7 +868,7 @@ impl CoherenceEngine for RayCast {
                         }
                     }
                 }
-                SetIndex::Kd { tree } => {
+                SetIndex::DynamicBvh { tree } => {
                     // Rebuild over the renumbered live sets: the hit set of
                     // a query depends only on the leaves, not the tree
                     // shape, so a fresh tree answers identically.
@@ -893,17 +890,13 @@ impl CoherenceEngine for RayCast {
     // ignores `set_coarsening` — there is no re-converged sibling state a
     // sweep could find that the next write wave would not coalesce anyway.
 
-    fn set_dirty_tracking(&mut self, on: bool) {
-        self.dirty_only = on;
-    }
-
     fn state_size(&self) -> StateSize {
         let mut size = StateSize::default();
         for (_, s) in self.shards.iter() {
             size.equivalence_sets += s.live;
             size.index_nodes += match &s.index {
                 SetIndex::Anchored { buckets, .. } => buckets.len(),
-                SetIndex::Kd { tree } => tree.len(),
+                SetIndex::DynamicBvh { tree } => tree.len(),
             };
             size.memo_entries += s.anchor_memo.values().map(Vec::len).sum::<usize>();
             for set in &s.sets {
@@ -952,7 +945,7 @@ impl RayCast {
                     }
                 }
             }
-            SetIndex::Kd { tree } => {
+            SetIndex::DynamicBvh { tree } => {
                 for id in new_ids {
                     tree.insert(*id as u64, alg.bbox(sets[*id as usize].domain));
                 }
@@ -979,7 +972,7 @@ impl RayCast {
                     }
                 }
             }
-            SetIndex::Kd { tree } => {
+            SetIndex::DynamicBvh { tree } => {
                 for d in dead {
                     tree.remove(*d as u64);
                 }

@@ -1,4 +1,4 @@
-//! Pluggable candidate-resolution backends for the raycast K-d path.
+//! Pluggable candidate-resolution backends for the raycast dynamic-BVH path.
 //!
 //! When no disjoint-and-complete partition exists, the raycast engine
 //! resolves each requirement's candidate equivalence sets by querying an
@@ -36,7 +36,8 @@
 
 use viz_geometry::{DynamicBvh, FlatBvh, Rect};
 
-/// Which candidate-resolution implementation the raycast K-d path uses.
+/// Which candidate-resolution implementation the raycast dynamic-BVH path
+/// uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum VisibilityKind {
     /// Per-query traversal of the dynamic tree (the original path).
@@ -87,19 +88,6 @@ impl VisibilityConfig {
     pub fn batch_min(mut self, n: usize) -> Self {
         self.batch_min = n;
         self
-    }
-
-    /// Read `VIZ_VIS_BACKEND` (`batch` enables the flattened sweep;
-    /// anything else — or unset — stays scalar) and `VIZ_VIS_BATCH_MIN`
-    /// (default [`DEFAULT_BATCH_MIN`]).
-    #[deprecated(
-        since = "0.9.0",
-        note = "env parsing moved behind the config front door: use \
-                crate::config::env_visibility(), or pin the backend with \
-                RuntimeConfig::visibility_backend"
-    )]
-    pub fn from_env() -> Self {
-        crate::config::env_visibility()
     }
 
     /// Instantiate the configured backend (one per shard: backends hold

@@ -161,7 +161,6 @@ pub struct Warnock {
     memoize: bool,
     intern: InternConfig,
     coarsen: bool,
-    dirty_only: bool,
 }
 
 impl Warnock {
@@ -176,7 +175,6 @@ impl Warnock {
             memoize: true,
             intern,
             coarsen: false,
-            dirty_only: true,
         }
     }
 
@@ -486,7 +484,7 @@ impl CoherenceEngine for Warnock {
         if !self.coarsen {
             return sweep;
         }
-        for (_, t) in self.shards.sweep_mut(self.dirty_only) {
+        for (_, t) in self.shards.sweep_mut() {
             // ---- Phase 1: bottom-up merge. Children always have larger
             // indices than their parent, so one reverse index scan sees a
             // merged child (now a leaf) before its own parent examines it —
@@ -597,10 +595,6 @@ impl CoherenceEngine for Warnock {
 
     fn set_coarsening(&mut self, on: bool) {
         self.coarsen = on;
-    }
-
-    fn set_dirty_tracking(&mut self, on: bool) {
-        self.dirty_only = on;
     }
 
     fn state_size(&self) -> StateSize {

@@ -19,10 +19,9 @@
 //! | `VIZ_PIPELINE` | off | `1`/`true` runs analysis on a dedicated driver thread |
 //! | `VIZ_SUBMIT_RINGS` | `8` | submission rings in the pipelined plane (min 2) |
 //! | `VIZ_ORACLE` | off | `1`/`true` records launch history for the consistency oracle |
-//! | `VIZ_INTERN` | on | `0`/`false`/`off`/`no` disables interned-algebra fast paths + cache |
 //! | `VIZ_ALGEBRA_CACHE_CAP` | `4096` | per-shard algebra-cache capacity in entries (0 = no caching) |
 //! | `VIZ_VIS_BACKEND` | `scalar` | `batch` resolves raycast candidate queries through the flattened SoA snapshot |
-//! | `VIZ_VIS_BATCH_MIN` | `64` | min live K-d leaves before the batch backend flattens |
+//! | `VIZ_VIS_BATCH_MIN` | `64` | min live dynamic-BVH leaves before the batch backend flattens |
 //! | `VIZ_GC` | off | `1`/`true` enables history garbage collection (watermark past the oldest unretired launch) |
 //! | `VIZ_GC_INTERVAL` | `1024` | launches between collections (amortizes the sweep) |
 //! | `VIZ_GC_RETAIN` | `256` | most-recent launches always kept un-retired |
@@ -87,7 +86,6 @@ pub struct EnvOverrides {
     pub pipeline: Option<bool>,
     pub submit_rings: Option<usize>,
     pub record_history: Option<bool>,
-    pub intern_enabled: Option<bool>,
     pub algebra_cache_cap: Option<usize>,
     pub vis_backend: Option<VisibilityKind>,
     pub vis_batch_min: Option<usize>,
@@ -96,16 +94,11 @@ pub struct EnvOverrides {
     pub gc_retain: Option<u32>,
     pub coarsen: Option<bool>,
     pub tag_window: Option<u32>,
-    pub dirty_shards: Option<bool>,
 }
 
 fn parse_flag(s: &str) -> bool {
     let s = s.trim();
     s == "1" || s.eq_ignore_ascii_case("true")
-}
-
-fn parse_off(s: &str) -> bool {
-    matches!(s.trim(), "0" | "false" | "off" | "no")
 }
 
 impl EnvOverrides {
@@ -126,7 +119,6 @@ impl EnvOverrides {
             pipeline: flag("VIZ_PIPELINE"),
             submit_rings: num("VIZ_SUBMIT_RINGS"),
             record_history: flag("VIZ_ORACLE"),
-            intern_enabled: get("VIZ_INTERN").map(|s| !parse_off(&s)),
             algebra_cache_cap: num("VIZ_ALGEBRA_CACHE_CAP"),
             vis_backend: get("VIZ_VIS_BACKEND").map(|s| {
                 if s.trim().eq_ignore_ascii_case("batch") {
@@ -141,7 +133,6 @@ impl EnvOverrides {
             gc_retain: num32("VIZ_GC_RETAIN"),
             coarsen: flag("VIZ_COARSEN"),
             tag_window: num32("VIZ_TAG_WINDOW"),
-            dirty_shards: get("VIZ_DIRTY_SHARDS").map(|s| !parse_off(&s)),
         }
     }
 
@@ -169,12 +160,8 @@ impl EnvOverrides {
         if let Some(on) = self.record_history {
             cfg.record_history = on;
         }
-        if self.intern_enabled.is_some() || self.algebra_cache_cap.is_some() {
-            let base = cfg.intern.unwrap_or_default();
-            cfg.intern = Some(InternConfig {
-                enabled: self.intern_enabled.unwrap_or(base.enabled),
-                cache_cap: self.algebra_cache_cap.unwrap_or(base.cache_cap),
-            });
+        if let Some(cache_cap) = self.algebra_cache_cap {
+            cfg.intern = Some(InternConfig { cache_cap });
         }
         if self.vis_backend.is_some() || self.vis_batch_min.is_some() {
             let base = cfg.visibility_backend.unwrap_or_default();
@@ -197,9 +184,6 @@ impl EnvOverrides {
         }
         if let Some(n) = self.tag_window {
             cfg.tag_window = n;
-        }
-        if let Some(on) = self.dirty_shards {
-            cfg.dirty_shards = on;
         }
         cfg
     }
@@ -234,18 +218,16 @@ pub fn default_submit_rings() -> usize {
         .max(2)
 }
 
-/// Resolve the interning config from the environment (the front-door
-/// replacement for the deprecated `InternConfig::from_env`).
+/// Resolve the interning config from the environment.
 pub fn env_intern() -> InternConfig {
-    let o = EnvOverrides::capture();
     InternConfig {
-        enabled: o.intern_enabled.unwrap_or(true),
-        cache_cap: o.algebra_cache_cap.unwrap_or(DEFAULT_ALGEBRA_CACHE_CAP),
+        cache_cap: EnvOverrides::capture()
+            .algebra_cache_cap
+            .unwrap_or(DEFAULT_ALGEBRA_CACHE_CAP),
     }
 }
 
-/// Resolve the visibility-backend config from the environment (the
-/// front-door replacement for the deprecated `VisibilityConfig::from_env`).
+/// Resolve the visibility-backend config from the environment.
 pub fn env_visibility() -> VisibilityConfig {
     let o = EnvOverrides::capture();
     VisibilityConfig {
@@ -291,11 +273,6 @@ pub const KNOBS: &[Knob] = &[
         effect: "record launch history for the external consistency oracle",
     },
     Knob {
-        var: "VIZ_INTERN",
-        default: "on",
-        effect: "0/false/off/no disables interned-algebra fast paths and cache",
-    },
-    Knob {
         var: "VIZ_ALGEBRA_CACHE_CAP",
         default: "4096",
         effect: "per-shard algebra-cache capacity in entries (0 = no caching)",
@@ -303,12 +280,12 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         var: "VIZ_VIS_BACKEND",
         default: "scalar",
-        effect: "batch = flattened SoA candidate resolution for the raycast K-d path",
+        effect: "batch = flattened SoA candidate resolution for the raycast dynamic-BVH path",
     },
     Knob {
         var: "VIZ_VIS_BATCH_MIN",
         default: "64",
-        effect: "min live K-d leaves before the batch backend flattens",
+        effect: "min live dynamic-BVH leaves before the batch backend flattens",
     },
     Knob {
         var: "VIZ_GC",
@@ -335,11 +312,6 @@ pub const KNOBS: &[Knob] = &[
         default: "4096",
         effect: "width (task ids) of the precedence ancestor-bitset window",
     },
-    Knob {
-        var: "VIZ_DIRTY_SHARDS",
-        default: "on",
-        effect: "0/false/off/no makes GC sweeps visit every shard instead of only dirty ones",
-    },
 ];
 
 #[cfg(test)]
@@ -362,7 +334,7 @@ mod tests {
             ("VIZ_ANALYSIS_THREADS", "4"),
             ("VIZ_GC", "1"),
             ("VIZ_GC_RETAIN", "32"),
-            ("VIZ_INTERN", "off"),
+            ("VIZ_ALGEBRA_CACHE_CAP", "8"),
             ("VIZ_VIS_BACKEND", "batch"),
             ("VIZ_TAG_WINDOW", "512"),
         ]);
@@ -374,7 +346,7 @@ mod tests {
             cfg.gc.interval, DEFAULT_GC_INTERVAL,
             "untouched knob keeps default"
         );
-        assert!(!cfg.intern.unwrap().enabled);
+        assert_eq!(cfg.intern.unwrap().cache_cap, 8);
         assert_eq!(cfg.visibility_backend.unwrap().kind, VisibilityKind::Batch);
         assert_eq!(
             cfg.visibility_backend.unwrap().batch_min,

@@ -55,6 +55,9 @@ pub struct TaskDag {
     floor: u32,
     /// Live bitset words across all rows (for stats).
     tag_words: usize,
+    /// Sum of every `preds` row's length, kept by `push` (the only place
+    /// edges are added) so reading it is O(1).
+    edges: usize,
 }
 
 impl Default for TaskDag {
@@ -79,6 +82,7 @@ impl TaskDag {
             window: window.max(64),
             floor: 0,
             tag_words: 0,
+            edges: 0,
         }
     }
 
@@ -137,6 +141,7 @@ impl TaskDag {
             self.succs[d.index()].push(id);
         }
         self.tag_words += row.words.len();
+        self.edges += deps.len();
         self.preds.push(deps);
         self.succs.push(Vec::new());
         self.depth.push(depth);
@@ -247,9 +252,10 @@ impl TaskDag {
         self.tag_words
     }
 
-    /// Total number of edges.
+    /// Total number of edges. O(1): a running count, not a sweep of the
+    /// program's predecessor lists.
     pub fn edge_count(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
+        self.edges
     }
 
     /// The length of the longest dependence chain (critical path in tasks).
@@ -336,6 +342,17 @@ mod tests {
         );
         assert!(succs[8].is_empty());
         assert_eq!(dag.edge_count(), 18);
+    }
+
+    #[test]
+    fn edge_count_is_the_sum_of_pred_rows_across_retirement() {
+        let mut dag = fig5_dag();
+        let sum = |d: &TaskDag| (0..d.len() as u32).map(|t| d.preds(TaskId(t)).len()).sum();
+        assert_eq!(dag.edge_count(), sum(&dag));
+        dag.retire_to(TaskId(4));
+        dag.push(vec![TaskId(6), TaskId(7)]);
+        assert_eq!(dag.edge_count(), sum(&dag));
+        assert_eq!(dag.edge_count(), 20);
     }
 
     #[test]

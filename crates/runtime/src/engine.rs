@@ -123,15 +123,6 @@ pub trait CoherenceEngine: Send + Sync {
     /// (Fig 11) and the painters have no equivalence sets; they ignore the
     /// flag.
     fn set_coarsening(&mut self, _on: bool) {}
-
-    /// Enable dirty-shard GC sweeps: [`collect`](CoherenceEngine::collect)
-    /// visits only the `(root, field)` shards scanned since the previous
-    /// sweep (plus a periodic full pass — see
-    /// [`crate::analysis::FULL_SWEEP_PERIOD`]) instead of walking every
-    /// shard in the engine. On by default (`VIZ_DIRTY_SHARDS`);
-    /// behavior-preserving either way — an untouched shard has accumulated
-    /// nothing new for a reachability-based sweep to reclaim.
-    fn set_dirty_tracking(&mut self, _on: bool) {}
 }
 
 /// What one [`CoherenceEngine::collect`] sweep reclaimed (counts of
@@ -210,7 +201,7 @@ pub struct StateSize {
     pub equivalence_sets: usize,
     pub composite_views: usize,
     /// Nodes in the engine's spatial index: refinement-tree (BVH) nodes for
-    /// Warnock, anchor buckets or K-d tree nodes for ray casting.
+    /// Warnock, anchor buckets or dynamic-BVH nodes for ray casting.
     pub index_nodes: usize,
     /// Entries across the engine's memoization tables (constituent-set and
     /// overlapping-anchor caches).
@@ -254,23 +245,15 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Instantiate the engine with the environment's interning and
-    /// visibility-backend configuration (`VIZ_INTERN` /
-    /// `VIZ_ALGEBRA_CACHE_CAP` / `VIZ_VIS_BACKEND` / `VIZ_VIS_BATCH_MIN`).
+    /// visibility-backend configuration (`VIZ_ALGEBRA_CACHE_CAP` /
+    /// `VIZ_VIS_BACKEND` / `VIZ_VIS_BATCH_MIN`).
     pub fn build(self) -> Box<dyn CoherenceEngine> {
-        self.build_with(crate::config::env_intern())
-    }
-
-    /// Instantiate the engine with an explicit interning configuration
-    /// (used by the differential tests to compare the memoized and direct
-    /// algebra paths without touching the process environment); the
-    /// visibility backend still defaults from the environment.
-    pub fn build_with(self, intern: viz_geometry::InternConfig) -> Box<dyn CoherenceEngine> {
-        self.build_configured(intern, crate::config::env_visibility())
+        self.build_configured(crate::config::env_intern(), crate::config::env_visibility())
     }
 
     /// Instantiate the engine with every analysis knob pinned. The
-    /// candidate-resolution backend only affects the raycast K-d path —
-    /// the other engines take no spatial-index batch and ignore it.
+    /// candidate-resolution backend only affects the raycast dynamic-BVH
+    /// path — the other engines take no spatial-index batch and ignore it.
     pub fn build_configured(
         self,
         intern: viz_geometry::InternConfig,

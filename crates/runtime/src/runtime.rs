@@ -91,11 +91,11 @@ pub struct RuntimeConfig {
     /// `VIZ_SUBMIT_RINGS` (else 8); ignored in synchronous mode.
     pub submit_rings: usize,
     /// Interning/memoization configuration for the engine's set algebra.
-    /// `None` (the default) reads `VIZ_INTERN` / `VIZ_ALGEBRA_CACHE_CAP`
-    /// from the environment; the differential tests pin it explicitly so
-    /// both modes can run in one process.
+    /// `None` (the default) reads `VIZ_ALGEBRA_CACHE_CAP` from the
+    /// environment; tests pin it explicitly to run several cache
+    /// capacities in one process.
     pub intern: Option<viz_geometry::InternConfig>,
-    /// Candidate-resolution backend for the raycast K-d path (scalar
+    /// Candidate-resolution backend for the raycast dynamic-BVH path (scalar
     /// per-query walk vs. flattened batched sweep). `None` (the default)
     /// reads `VIZ_VIS_BACKEND` / `VIZ_VIS_BATCH_MIN` from the environment;
     /// the differential tests pin it so both backends run in one process.
@@ -118,13 +118,6 @@ pub struct RuntimeConfig {
     /// window fall back to the exact graph walk. Defaults from
     /// `VIZ_TAG_WINDOW` (else [`crate::dag::DEFAULT_TAG_WINDOW`]).
     pub tag_window: u32,
-    /// Dirty-shard scanning: GC sweeps visit only the (root, field) shards
-    /// touched since the last sweep, with a full sweep every
-    /// [`crate::analysis::FULL_SWEEP_PERIOD`]-th collection as the
-    /// watermark-retirement backstop. Behavior-preserving (the differential
-    /// suite pins dirty-on == dirty-off); on by default, `VIZ_DIRTY_SHARDS=0`
-    /// disables.
-    pub dirty_shards: bool,
 }
 
 const DEFAULT_PIPELINE_DEPTH: usize = 256;
@@ -147,12 +140,6 @@ impl RuntimeConfig {
         crate::config::EnvOverrides::capture().apply(Self::base(engine))
     }
 
-    /// Explicit alias for [`RuntimeConfig::new`], for call sites that want
-    /// to spell out that the environment participates.
-    pub fn from_env(engine: EngineKind) -> Self {
-        Self::new(engine)
-    }
-
     /// The pure built-in defaults — the environment is *not* consulted.
     /// Hermetic tests and the config-precedence suite start here.
     pub fn base(engine: EngineKind) -> Self {
@@ -172,7 +159,6 @@ impl RuntimeConfig {
             record_history: false,
             gc: GcConfig::default(),
             tag_window: crate::dag::DEFAULT_TAG_WINDOW,
-            dirty_shards: true,
         }
     }
 
@@ -238,7 +224,7 @@ impl RuntimeConfig {
     }
 
     /// Pin the engine's interning configuration instead of reading
-    /// `VIZ_INTERN` / `VIZ_ALGEBRA_CACHE_CAP` from the environment.
+    /// `VIZ_ALGEBRA_CACHE_CAP` from the environment.
     pub fn intern(mut self, cfg: viz_geometry::InternConfig) -> Self {
         self.intern = Some(cfg);
         self
@@ -264,27 +250,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Launches between collection sweeps (min 1).
-    pub fn gc_interval(mut self, n: u32) -> Self {
-        self.gc.interval = n.max(1);
-        self
-    }
-
-    /// Launches kept below the frontier at each sweep — the unretired
-    /// window readers may still address.
-    pub fn gc_retain(mut self, n: u32) -> Self {
-        self.gc.retain = n;
-        self
-    }
-
-    /// Toggle equivalence-set coarsening (merge sibling sets whose
-    /// per-field states re-converged — the inverse of refinement).
-    pub fn coarsen(mut self, on: bool) -> Self {
-        self.gc.coarsen = on;
-        self
-    }
-
-    /// Pin the whole GC block at once.
+    /// Pin the whole GC block at once: collection interval, retained
+    /// window and coarsening (see [`GcConfig`]).
     pub fn gc_config(mut self, cfg: GcConfig) -> Self {
         self.gc = cfg;
         self
@@ -293,12 +260,6 @@ impl RuntimeConfig {
     /// Width of the DAG's ancestor-tag window (clamped to at least 64).
     pub fn tag_window(mut self, w: u32) -> Self {
         self.tag_window = w.max(64);
-        self
-    }
-
-    /// Toggle dirty-shard scanning for GC sweeps (on by default).
-    pub fn dirty_shards(mut self, on: bool) -> Self {
-        self.dirty_shards = on;
         self
     }
 }
@@ -389,8 +350,8 @@ pub(crate) struct Core {
 /// through [`crate::stats::GcStats`].
 pub(crate) struct GcState {
     pub(crate) cfg: GcConfig,
-    /// Next launch count at which a sweep runs (amortizes the check to a
-    /// compare per `run_specs` call).
+    /// Next launch count at which a sweep runs: always the next multiple
+    /// of the interval, so collection points depend on launch ids alone.
     next_due: u32,
     pub(crate) collections: u64,
     /// Sweeps whose floor was clamped by trace pinning.
@@ -411,6 +372,12 @@ impl GcState {
             tag_words_freed: 0,
             sweep: GcSweep::default(),
         }
+    }
+
+    /// Launches that may commit before the next collection point, or
+    /// `None` when neither GC nor coarsening ever collects.
+    fn until_due(&self, next: u32) -> Option<usize> {
+        (self.cfg.enabled || self.cfg.coarsen).then(|| self.next_due.saturating_sub(next) as usize)
     }
 }
 
@@ -539,6 +506,10 @@ impl Core {
     /// come out byte-for-byte the same. Both the synchronous frontend and
     /// the pipeline driver call exactly this, so chunk boundaries (how
     /// many specs the driver drains per wakeup) cannot affect results.
+    ///
+    /// The batch is cut wherever the ids reach a collection point (a
+    /// multiple of the GC interval) and collected there, so the watermark
+    /// and the GC counters do not depend on chunk boundaries either.
     pub(crate) fn run_specs(
         &mut self,
         ctx: u32,
@@ -547,6 +518,28 @@ impl Core {
     ) -> Vec<TaskId> {
         let mut ids = Vec::with_capacity(items.len());
         let mut items: VecDeque<LaunchSpec> = items.into();
+        loop {
+            let rest = match self.gc.until_due(self.ledger.next_id()) {
+                Some(n) if n < items.len() => items.split_off(n),
+                _ => VecDeque::new(),
+            };
+            self.run_segment(ctx, items, forest, &mut ids);
+            self.maybe_collect();
+            if rest.is_empty() {
+                return ids;
+            }
+            items = rest;
+        }
+    }
+
+    /// [`Core::run_specs`] between two collection points.
+    fn run_segment(
+        &mut self,
+        ctx: u32,
+        mut items: VecDeque<LaunchSpec>,
+        forest: &RegionForest,
+        ids: &mut Vec<TaskId>,
+    ) {
         while !items.is_empty() {
             if self.analysis_threads <= 1 || items.len() == 1 {
                 for s in items.drain(..) {
@@ -568,16 +561,14 @@ impl Core {
             }
             ids.extend(self.run_batch_sharded(ctx, &mut items, forest));
         }
-        self.maybe_collect();
-        ids
     }
 
-    /// Run a collection sweep if the watermark interval has elapsed:
-    /// reclaim dead engine state, then retire ledger entries and DAG tag
-    /// rows below `next_id - retain` (clamped by trace pinning). Called at
-    /// the quiescent points of both frontends (`run_specs`,
-    /// `fence_scoped`), so the pipelined and synchronous paths collect at
-    /// the same launch counts.
+    /// Run a collection sweep if the ids have reached the next multiple of
+    /// the GC interval: reclaim dead engine state, then retire ledger
+    /// entries and DAG tag rows below `next_id - retain` (clamped by trace
+    /// pinning). `run_specs` cuts its batches at exactly these points and
+    /// `fence_scoped` commits one id at a time, so every frontend and
+    /// driver collects at the same launch counts.
     fn maybe_collect(&mut self) {
         if !self.gc.cfg.enabled && !self.gc.cfg.coarsen {
             return;
@@ -586,7 +577,8 @@ impl Core {
         if next < self.gc.next_due {
             return;
         }
-        self.gc.next_due = next + self.gc.cfg.interval.max(1);
+        let interval = self.gc.cfg.interval.max(1);
+        self.gc.next_due = next - next % interval + interval;
         self.gc.collections += 1;
         let mut floor = if self.gc.cfg.enabled {
             next.saturating_sub(self.gc.cfg.retain)
@@ -891,7 +883,6 @@ impl Runtime {
             config.visibility_backend.unwrap_or_default(),
         );
         engine.set_coarsening(config.gc.coarsen);
-        engine.set_dirty_tracking(config.dirty_shards);
         let core = Arc::new(RwLock::new(Core {
             engine,
             machine: Machine::with_cost(config.nodes, config.cost),
@@ -1211,12 +1202,6 @@ impl Runtime {
         self.core.read().unwrap().tracing.in_trace()
     }
 
-    /// Launches whose analysis was synthesized from a trace template.
-    pub fn replayed_launches(&self) -> u64 {
-        self.drain();
-        self.core.read().unwrap().tracing.replayed_launches
-    }
-
     /// The address of the shared template result backing task `t`, if `t`
     /// was captured into or replayed from a trace (`None` for ordinary
     /// analyzed launches). Benchmarks use pointer identity to prove the
@@ -1230,30 +1215,11 @@ impl Runtime {
         }
     }
 
-    /// Repeats promoted by the auto-tracer so far.
-    pub fn auto_traces_detected(&self) -> u64 {
-        self.drain();
-        self.core.read().unwrap().tracing.auto_promotions
-    }
-
-    /// Auto traces demoted back to normal analysis (failed speculation).
-    pub fn auto_traces_demoted(&self) -> u64 {
-        self.drain();
-        self.core.read().unwrap().tracing.auto_demotions
-    }
-
     /// Every trace violation observed, in program order. Violations demote
     /// the offending trace; execution continues with normal analysis.
     pub fn trace_violations(&self) -> CoreRead<'_, [TraceViolation]> {
         self.drain();
         CoreRead::new(&self.core, |c| c.tracing.violations())
-    }
-
-    /// Current size of the trace rebase interval map (stays O(active
-    /// templates) — see `trace.rs`).
-    pub fn trace_rebase_ranges(&self) -> usize {
-        self.drain();
-        self.core.read().unwrap().tracing.rebase_ranges()
     }
 
     /// An execution fence: a no-op task ordered after *every* task launched
@@ -1395,8 +1361,8 @@ impl Runtime {
     /// One coherent snapshot of every observable counter: engine state
     /// sizes (with the algebra roll-up), history-GC/coarsening counters,
     /// DAG shape and tag footprint, trace statistics, and the submission
-    /// plane. A drain point. This is the stats front door — prefer it over
-    /// the historical per-subsystem accessors.
+    /// plane. A drain point. This is the stats front door: trace counters,
+    /// for one, are read here (`stats().tracing`) and nowhere else.
     pub fn stats(&self) -> crate::stats::RuntimeStats {
         self.drain();
         let core = self.core.read().unwrap();

@@ -1,9 +1,8 @@
 //! The one stats front door: [`crate::Runtime::stats`] returns a
-//! [`RuntimeStats`] snapshot unifying what used to require three ad-hoc
-//! accessors (an engine-state getter for [`StateSize`] — which itself
-//! carries the interner's `AlgebraStats` roll-up — `pipeline_metrics` for
-//! the submission-plane counters, and the trace statistics getters) plus
-//! the history-GC and coarsening counters.
+//! [`RuntimeStats`] snapshot of engine state ([`StateSize`], which carries
+//! the interner's `AlgebraStats` roll-up), the submission-plane counters,
+//! the trace counters, and the history-GC and coarsening counters. Trace
+//! counters have no other accessor.
 //!
 //! Everything in the snapshot is plain data (`Clone`, `Debug`): probes and
 //! benches can take one, drop the runtime borrow, and format at leisure.
@@ -40,7 +39,7 @@ pub struct RuntimeStats {
 
 /// History-GC and coarsening counters (see [`crate::config::GcConfig`]).
 #[non_exhaustive]
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcStats {
     pub enabled: bool,
     pub coarsen: bool,

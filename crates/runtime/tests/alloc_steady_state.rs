@@ -7,9 +7,12 @@
 //! [`VisibilityBackend`] implementations. This test wraps the global
 //! allocator in a counter and proves both backends resolve entire batches
 //! with **zero** allocations once their buffers have warmed up.
+//!
+//! The counter is per thread: the test harness runs these tests on
+//! parallel threads, and each must count only its own allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use viz_geometry::{DynamicBvh, Rect};
 use viz_runtime::analysis::visibility::{
@@ -18,13 +21,22 @@ use viz_runtime::analysis::visibility::{
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates verbatim to `System`; the counter has no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a new allocation for steady-state purposes.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn fixture(leaves: u64) -> (DynamicBvh, Vec<Rect>, Vec<QuerySpan>) {

@@ -213,8 +213,8 @@ fn run_program(
             .flat_map(|r| &r.plans)
             .map(|p| p.copies.len() + p.reductions.len())
             .sum::<usize>();
-    let replayed = rt.replayed_launches();
-    let detected = rt.auto_traces_detected();
+    let tracing = rt.stats().tracing;
+    let (replayed, detected) = (tracing.replayed_launches, tracing.auto_promotions);
     let store = rt.execute_values();
     let values: Vec<f64> = (0..N)
         .map(|x| store.inline(probe).get(Point::p1(x)))
@@ -368,8 +368,9 @@ fn fences_break_detected_periodicity() {
         }
         rt.fence();
     }
-    assert_eq!(rt.auto_traces_detected(), 0, "fenced loop must not promote");
-    assert_eq!(rt.replayed_launches(), 0);
+    let tracing = rt.stats().tracing;
+    assert_eq!(tracing.auto_promotions, 0, "fenced loop must not promote");
+    assert_eq!(tracing.replayed_launches, 0);
     let probe = rt.inline_read(root, field).unwrap();
     assert!(check_sufficiency(rt.forest(), rt.launches(), rt.dag()).is_empty());
     let _ = rt.execute_values();

@@ -88,7 +88,7 @@ fn warnock_without_memoization_is_functionally_identical() {
 #[test]
 fn raycast_forced_kd_is_functionally_identical() {
     let (v1, e1) = run(Box::new(RayCast::new()), 2);
-    let (v2, e2) = run(Box::new(RayCast::force_kd_tree()), 2);
+    let (v2, e2) = run(Box::new(RayCast::force_dynamic_bvh()), 2);
     assert_eq!(v1, v2);
     assert_eq!(e1, e2, "the index choice must not change the analysis");
 }
@@ -97,7 +97,7 @@ fn raycast_forced_kd_is_functionally_identical() {
 fn variants_match_the_default_engines_cross_family() {
     let (v1, _) = run(Box::new(Warnock::new()), 1);
     let (v2, _) = run(Box::new(RayCast::new()), 1);
-    let (v3, _) = run(Box::new(RayCast::force_kd_tree()), 1);
+    let (v3, _) = run(Box::new(RayCast::force_dynamic_bvh()), 1);
     assert_eq!(v1, v2);
     assert_eq!(v2, v3);
 }

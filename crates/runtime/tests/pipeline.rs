@@ -200,8 +200,8 @@ fn run_program(
             .flat_map(|r| &r.plans)
             .map(|p| p.copies.len() + p.reductions.len())
             .sum::<usize>();
-    let replayed = rt.replayed_launches();
-    let detected = rt.auto_traces_detected();
+    let tracing = rt.stats().tracing;
+    let (replayed, detected) = (tracing.replayed_launches, tracing.auto_promotions);
     let store = rt.execute_values();
     let values: Vec<f64> = (0..N)
         .map(|x| store.inline(probe).get(Point::p1(x)))
@@ -348,7 +348,7 @@ fn manual_traces_drain_and_replay_pipelined() {
             rt.try_end_trace(7).expect("trace 7 is open");
         }
         let probe = rt.inline_read(root, field).unwrap();
-        let replayed = rt.replayed_launches();
+        let replayed = rt.stats().tracing.replayed_launches;
         let store = rt.execute_values();
         let values = (0..N)
             .map(|x| store.inline(probe).get(Point::p1(x)))

@@ -1,12 +1,13 @@
-//! Differential property test for the interned-algebra layer (`VIZ_INTERN`).
+//! Differential property test for the algebra cache's eviction.
 //!
-//! The interner, the algebra cache, and the structural fast paths are pure
-//! memoization: with them on or off, every engine must produce *identical*
-//! analysis — the same dependences, the same materialization plans (compared
-//! structurally, rect list by rect list), and the same executed values —
-//! across serial and sharded drivers and with automatic trace replay on.
-//! The configurations are pinned through [`RuntimeConfig::intern`] rather
-//! than the environment so both modes run in one process.
+//! The algebra cache is pure memoization: a cache of two entries, evicting
+//! on nearly every insert, must leave every engine's analysis *identical*
+//! to the default-sized cache — the same dependences, the same
+//! materialization plans (compared structurally, rect list by rect list),
+//! and the same executed values — across serial and sharded drivers and
+//! with automatic trace replay on. The capacities are pinned through
+//! [`RuntimeConfig::intern`] rather than the environment so both run in
+//! one process.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -156,36 +157,29 @@ fn run_config(
     (results, vals)
 }
 
-fn assert_intern_invariant(
-    launches: &[AbsLaunch],
-    engines: &[EngineKind],
-    configs: &[(usize, bool)],
-) {
-    for &engine in engines {
+/// A cache this small evicts on nearly every insert.
+const TINY: InternConfig = InternConfig { cache_cap: 2 };
+
+fn assert_eviction_invisible(launches: &[AbsLaunch], configs: &[(usize, bool)]) {
+    for engine in EngineKind::all() {
         for &(threads, auto_trace) in configs {
-            let (res_on, vals_on) = run_config(
+            let (res_tiny, vals_tiny) = run_config(engine, threads, auto_trace, TINY, launches);
+            let (res_ref, vals_ref) = run_config(
                 engine,
                 threads,
                 auto_trace,
                 InternConfig::default(),
                 launches,
             );
-            let (res_off, vals_off) = run_config(
-                engine,
-                threads,
-                auto_trace,
-                InternConfig::disabled(),
-                launches,
+            assert_eq!(
+                res_tiny, res_ref,
+                "{engine:?} threads={threads} auto_trace={auto_trace}: \
+                 cap=2 eviction changed deps/plans"
             );
             assert_eq!(
-                res_on, res_off,
+                vals_tiny, vals_ref,
                 "{engine:?} threads={threads} auto_trace={auto_trace}: \
-                 interning changed deps/plans"
-            );
-            assert_eq!(
-                vals_on, vals_off,
-                "{engine:?} threads={threads} auto_trace={auto_trace}: \
-                 interning changed executed values"
+                 cap=2 eviction changed executed values"
             );
         }
     }
@@ -194,25 +188,21 @@ fn assert_intern_invariant(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random programs: interning on ≡ off for every engine, serial and
-    /// sharded drivers.
+    /// Random programs: cap 2 ≡ the default cache for every engine, serial
+    /// and sharded drivers.
     #[test]
-    fn interning_is_invisible_to_analysis(
+    fn eviction_is_invisible_to_analysis(
         launches in prop::collection::vec(abs_launch(), 1..14)
     ) {
-        assert_intern_invariant(
-            &launches,
-            &EngineKind::all(),
-            &[(1, false), (4, false)],
-        );
+        assert_eviction_invisible(&launches, &[(1, false), (4, false)]);
     }
 }
 
-/// A long alternating Fig 1-style loop: deterministic heavy case covering
-/// auto-trace replay (the trace templates must also be byte-identical) and
-/// a tiny cache (eviction churn) against the same reference.
+/// A long alternating Fig 1-style loop: the deterministic heavy case,
+/// covering auto-trace replay (the trace templates must also be
+/// byte-identical).
 #[test]
-fn paper_loop_interning_invariant_with_auto_trace() {
+fn paper_loop_eviction_invisible_with_auto_trace() {
     let mut launches = Vec::new();
     for iter in 0..6u32 {
         for k in 0..PIECES {
@@ -230,25 +220,5 @@ fn paper_loop_interning_invariant_with_auto_trace() {
             });
         }
     }
-    assert_intern_invariant(&launches, &EngineKind::all(), &[(1, true), (4, true)]);
-    // Eviction churn must be just as invisible as a roomy cache.
-    let (res_tiny, vals_tiny) = run_config(
-        EngineKind::RayCast,
-        1,
-        false,
-        InternConfig {
-            enabled: true,
-            cache_cap: 2,
-        },
-        &launches,
-    );
-    let (res_off, vals_off) = run_config(
-        EngineKind::RayCast,
-        1,
-        false,
-        InternConfig::disabled(),
-        &launches,
-    );
-    assert_eq!(res_tiny, res_off, "cap=2 eviction changed deps/plans");
-    assert_eq!(vals_tiny, vals_off, "cap=2 eviction changed values");
+    assert_eviction_invisible(&launches, &[(1, true), (4, true)]);
 }

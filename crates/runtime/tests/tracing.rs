@@ -95,7 +95,7 @@ fn run_loop(engine: EngineKind, iters: usize, traced: bool) -> (Vec<f64>, u64, u
         violations.is_empty(),
         "{engine:?} traced={traced}: {violations:?}"
     );
-    let replayed = l.rt.replayed_launches();
+    let replayed = l.rt.stats().tracing.replayed_launches;
     let edges = l.rt.dag().edge_count();
     let store = l.rt.execute_values();
     let vals = store.inline(probe).iter().map(|(_, v)| v).collect();
@@ -136,7 +136,7 @@ fn replay_skips_the_visibility_engine() {
         "no equivalence-set work during replay"
     );
     assert_eq!(after.launches, before.launches, "no LaunchOverhead charges");
-    assert_eq!(l.rt.replayed_launches(), 8);
+    assert_eq!(l.rt.stats().tracing.replayed_launches, 8);
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn interleaved_launches_invalidate_the_template() {
         iteration(&mut l);
         l.rt.try_end_trace(1).unwrap();
     }
-    assert_eq!(l.rt.replayed_launches(), 8);
+    assert_eq!(l.rt.stats().tracing.replayed_launches, 8);
     // An untraced launch between instances: the template must be dropped
     // and re-captured, not replayed over changed state.
     let root = l.rt.forest().roots()[0];
@@ -162,14 +162,14 @@ fn interleaved_launches_invalidate_the_template() {
     ))
     .unwrap()
     .id();
-    let replayed_before = l.rt.replayed_launches();
+    let replayed_before = l.rt.stats().tracing.replayed_launches;
     for _ in 0..3 {
         l.rt.try_begin_trace(1).unwrap();
         iteration(&mut l);
         l.rt.try_end_trace(1).unwrap();
     }
     // Re-capture costs two instances; only the third replays.
-    assert_eq!(l.rt.replayed_launches(), replayed_before + 8);
+    assert_eq!(l.rt.stats().tracing.replayed_launches, replayed_before + 8);
     let probe = l.rt.inline_read(l.root, l.f).unwrap();
     assert!(check_sufficiency(l.rt.forest(), l.rt.launches(), l.rt.dag()).is_empty());
     let store = l.rt.execute_values();
@@ -273,7 +273,7 @@ fn trace_violation_demotes_and_recaptures() {
             v.kind
         );
     }
-    let replayed_before = l.rt.replayed_launches();
+    let replayed_before = l.rt.stats().tracing.replayed_launches;
 
     // The demoted trace recaptures: warm-up + capture + replay.
     for _ in 0..3 {
@@ -282,7 +282,7 @@ fn trace_violation_demotes_and_recaptures() {
         l.rt.try_end_trace(1).unwrap();
     }
     assert_eq!(
-        l.rt.replayed_launches(),
+        l.rt.stats().tracing.replayed_launches,
         replayed_before + 8,
         "third clean instance after demotion replays again"
     );
@@ -421,11 +421,11 @@ fn rebase_map_stays_bounded_across_many_replays() {
         iteration(&mut l);
         l.rt.try_end_trace(1).unwrap();
     }
-    assert_eq!(l.rt.replayed_launches(), 48 * 8);
+    assert_eq!(l.rt.stats().tracing.replayed_launches, 48 * 8);
+    let rebase_ranges = l.rt.stats().tracing.rebase_ranges;
     assert!(
-        l.rt.trace_rebase_ranges() <= 2,
-        "rebase map grew with instance count: {} ranges",
-        l.rt.trace_rebase_ranges()
+        rebase_ranges <= 2,
+        "rebase map grew with instance count: {rebase_ranges} ranges"
     );
     assert!(check_sufficiency(l.rt.forest(), l.rt.launches(), l.rt.dag()).is_empty());
 }
@@ -506,7 +506,7 @@ fn read_only_trace_declines_replay_and_keeps_all_read_epochs() {
         .id();
     rt.flush();
     assert_eq!(
-        rt.replayed_launches(),
+        rt.stats().tracing.replayed_launches,
         0,
         "a non-self-superseding instance must not be replayed"
     );

@@ -9,7 +9,7 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`geometry`] — index spaces, rectangles, set algebra, BVH, K-d tree;
+//! * [`geometry`] — index spaces, rectangles, set algebra, BVHs;
 //! * [`region`] — region trees, partitions, privileges, reduction ops;
 //! * [`sim`] — the simulated distributed machine and cost model;
 //! * [`runtime`] — the task runtime and the visibility engines;

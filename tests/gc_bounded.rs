@@ -6,6 +6,18 @@
 
 use visibility::apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
 use visibility::prelude::*;
+use visibility::runtime::config::DEFAULT_GC_RETAIN;
+use visibility::runtime::GcConfig;
+
+/// GC on (`enabled`) or coarsening only, at an explicit cadence.
+fn gc_cfg(enabled: bool, interval: u32, retain: u32, coarsen: bool) -> GcConfig {
+    GcConfig {
+        enabled,
+        interval,
+        retain,
+        coarsen,
+    }
+}
 
 fn long_stencil(iterations: usize) -> Stencil {
     Stencil::new(StencilConfig {
@@ -32,9 +44,7 @@ fn retained_window_is_bounded_by_retain_not_program_length() {
                 RuntimeConfig::new(engine)
                     .nodes(4)
                     .validate(false)
-                    .history_gc(true)
-                    .gc_interval(16)
-                    .gc_retain(32),
+                    .gc_config(gc_cfg(true, 16, 32, false)),
             );
             long_stencil(iterations).execute(&mut rt);
             let stats = rt.stats();
@@ -85,9 +95,7 @@ fn tag_words_are_bounded_by_the_window() {
         RuntimeConfig::new(EngineKind::RayCast)
             .nodes(4)
             .validate(false)
-            .history_gc(true)
-            .gc_interval(16)
-            .gc_retain(32),
+            .gc_config(gc_cfg(true, 16, 32, false)),
     );
     long_stencil(40).execute(&mut on);
     let stats = on.stats();
@@ -112,10 +120,7 @@ fn engine_sweeps_reclaim_dead_state() {
             RuntimeConfig::new(engine)
                 .nodes(4)
                 .validate(false)
-                .history_gc(true)
-                .gc_interval(16)
-                .gc_retain(32)
-                .coarsen(engine == EngineKind::Warnock),
+                .gc_config(gc_cfg(true, 16, 32, engine == EngineKind::Warnock)),
         );
         long_circuit(40).execute(&mut rt);
         let gc = rt.stats().gc;
@@ -142,10 +147,7 @@ fn coarsening_merges_reconverged_siblings_and_reports_cost() {
         RuntimeConfig::new(EngineKind::Warnock)
             .nodes(4)
             .validate(false)
-            .history_gc(true)
-            .gc_interval(8)
-            .gc_retain(16)
-            .coarsen(true),
+            .gc_config(gc_cfg(true, 8, 16, true)),
     );
     let app = long_circuit(30);
     app.execute(&mut rt);
@@ -163,8 +165,7 @@ fn coarsening_merges_reconverged_siblings_and_reports_cost() {
         RuntimeConfig::new(EngineKind::Warnock)
             .nodes(4)
             .validate(false)
-            .gc_interval(8)
-            .coarsen(true),
+            .gc_config(gc_cfg(false, 8, DEFAULT_GC_RETAIN, true)),
     );
     app.execute(&mut rt2);
     let stats2 = rt2.stats();
@@ -180,9 +181,7 @@ fn retired_history_refuses_eager_execution() {
         RuntimeConfig::new(EngineKind::RayCast)
             .nodes(2)
             .validate(false)
-            .history_gc(true)
-            .gc_interval(8)
-            .gc_retain(8),
+            .gc_config(gc_cfg(true, 8, 8, false)),
     );
     long_stencil(20).execute(&mut rt);
     assert!(rt.stats().watermark > 0);

@@ -5,6 +5,10 @@
 //! operation stream. Checked across all four engines × serial/sharded
 //! analysis × pipelined submission × auto-tracing.
 //!
+//! Collection points depend only on launch ids, never on how a driver cut
+//! its batches: the GC'd Serial, Sharded and Pipelined runs of one program
+//! must agree on the retirement watermark and on every GC counter.
+//!
 //! Coarsening (`VIZ_GC_COARSEN`) is deliberately *not* in this matrix: it
 //! preserves dependences and plan coverage but coalesces plan ranges over
 //! merged sets, so it is excluded from the byte-differential by contract
@@ -12,7 +16,7 @@
 
 use visibility::apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
 use visibility::prelude::*;
-use visibility::runtime::AnalysisResult;
+use visibility::runtime::{AnalysisResult, GcConfig, GcStats};
 use visibility::sim::Counters;
 
 /// The submission/analysis shapes the differential covers.
@@ -44,6 +48,7 @@ fn configure(engine: EngineKind, mode: Mode, nodes: usize) -> RuntimeConfig {
 struct Observed {
     tasks: usize,
     watermark: u32,
+    gc: GcStats,
     /// Results of the retained suffix `[watermark..tasks)`.
     results: Vec<AnalysisResult>,
     names: Vec<String>,
@@ -58,13 +63,15 @@ fn run(
     gc: bool,
 ) -> Observed {
     let mut rt = Runtime::new(
-        configure(engine, mode, nodes)
-            .history_gc(gc)
-            // Aggressive cadence so several sweeps land inside a small
-            // program; a retain window big enough to keep suffixes
-            // comparable but far smaller than the program.
-            .gc_interval(16)
-            .gc_retain(24),
+        // Aggressive cadence so several sweeps land inside a small
+        // program; a retain window big enough to keep suffixes comparable
+        // but far smaller than the program.
+        configure(engine, mode, nodes).gc_config(GcConfig {
+            enabled: gc,
+            interval: 16,
+            retain: 24,
+            ..GcConfig::default()
+        }),
     );
     workload.execute(&mut rt);
     let stats = rt.stats();
@@ -73,6 +80,7 @@ fn run(
     Observed {
         tasks: rt.num_tasks(),
         watermark: stats.watermark,
+        gc: stats.gc,
         results: rt.results(),
         names,
         counters,
@@ -81,10 +89,24 @@ fn run(
 
 fn differential(workload: &dyn Workload, nodes: usize) {
     for engine in EngineKind::all() {
+        // The GC'd Serial run, which the Sharded and Pipelined runs must
+        // match collection for collection.
+        let mut serial: Option<(u32, GcStats)> = None;
         for mode in MODES {
             let off = run(workload, engine, mode, nodes, false);
             let on = run(workload, engine, mode, nodes, true);
             let ctx = format!("{} {engine:?} {mode:?}", workload.name());
+            match (mode, serial) {
+                (Mode::Serial, _) => serial = Some((on.watermark, on.gc)),
+                (Mode::Sharded | Mode::Pipelined, Some((watermark, gc))) => {
+                    assert_eq!(
+                        on.watermark, watermark,
+                        "{ctx}: retirement watermark diverged from the Serial run"
+                    );
+                    assert_eq!(on.gc, gc, "{ctx}: GC stats diverged from the Serial run");
+                }
+                _ => {}
+            }
 
             assert_eq!(off.watermark, 0, "{ctx}: GC-off run must retire nothing");
             assert_eq!(on.tasks, off.tasks, "{ctx}: program length diverged");

@@ -15,7 +15,7 @@ fn run_traced_vs_plain(plain: &dyn Workload, traced: &dyn Workload, engine: Engi
     let run_t = traced.execute(&mut rt_t);
 
     assert!(
-        rt_t.replayed_launches() > 0,
+        rt_t.stats().tracing.replayed_launches > 0,
         "{}: nothing replayed",
         plain.name()
     );
